@@ -107,9 +107,9 @@ Outcome run_fig5c(std::uint64_t seed) {
 /// Serialize every trace into one buffer: byte equality of this string is
 /// the bit-identity check (the format round-trips every recorded field).
 std::string serialize_traces(const std::vector<trace::NodeTrace>& traces) {
-  std::ostringstream os;
-  for (const auto& t : traces) trace::save_trace(t, os);
-  return os.str();
+  std::string blob;
+  for (const auto& t : traces) blob += trace::save_trace(t);
+  return blob;
 }
 
 /// Canonical form of a Fig-5 ranking: sample order plus exact scores.

@@ -1,6 +1,6 @@
 // Micro-benchmarks: throughput of the pieces the Sentomist pipeline is
-// built from — the emulator, the lifecycle parser, the featurizer, and the
-// one-class SVM.
+// built from — the emulator, the lifecycle parser, the trace codec, the
+// featurizer, and the one-class SVM.
 //
 // Besides the google-benchmark suite, this binary owns the ML data-plane
 // benchmark (DESIGN.md §10): an (l, d) grid timing the reference
@@ -29,6 +29,7 @@
 #include "ml/ocsvm.hpp"
 #include "os/node.hpp"
 #include "pipeline/campaign.hpp"
+#include "trace/serialize.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -198,6 +199,45 @@ void BM_Case2EndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Case2EndToEnd)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------- trace codec
+
+// The text trace codec (trace/serialize) on one case-II relay trace, the
+// trace the chaos ladder round-trips every run; bytes/s is the text size.
+const trace::NodeTrace& case2_relay_trace() {
+  static const trace::NodeTrace t = [] {
+    apps::Case2Config config;
+    config.seed = 3;
+    config.run_seconds = 5.0;
+    return apps::run_case2(config).relay_trace;
+  }();
+  return t;
+}
+
+void BM_TraceSave(benchmark::State& state) {
+  const trace::NodeTrace& t = case2_relay_trace();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = trace::save_trace(t);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+}
+BENCHMARK(BM_TraceSave);
+
+void BM_TraceLoadLenient(benchmark::State& state) {
+  const std::string text = trace::save_trace(case2_relay_trace());
+  for (auto _ : state) {
+    trace::LenientLoadResult r = trace::load_trace_lenient(text);
+    benchmark::DoNotOptimize(r.trace.instrs.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(text.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_TraceLoadLenient);
 
 // --------------------------------------------- ML data-plane benchmark
 

@@ -57,13 +57,19 @@ cmake --build build-tsan -j "${JOBS}" \
 # pool workers).
 cmake -B build-asan -S . -DSENT_SANITIZE=address,undefined
 cmake --build build-asan -j "${JOBS}" \
-  --target fault_test serialize_test campaign_test worker_pool_test \
+  --target fault_test serialize_test trace_codec_test campaign_test \
+  worker_pool_test \
   journal_test cli_test \
   obs_test interval_property_test golden_fig5_test sim_test bytecode_test \
   dispatch_parity_test stream_test stream_parity_test corpus_test \
   eval_metrics_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/serialize_test
+# The text trace codec against its iostream/std::stoull oracle: every
+# truncation point, the perturb_trace_text plan sweep and the seeded
+# arbitrary-byte mutations run sanitized, since the parser walks raw views
+# of hostile bytes.
+./build-asan/tests/trace_codec_test
 ./build-asan/tests/campaign_test
 # World reset + buffer recycling under ASan/UBSan: reused slots, recycled
 # trace buffers and reset-after-watchdog-unwind are exactly where

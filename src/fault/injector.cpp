@@ -218,8 +218,12 @@ std::string FaultInjector::perturb_trace_text(std::string text,
   if (plan.trace_corrupt_prob > 0.0 && !text.empty() &&
       rng.chance(plan.trace_corrupt_prob)) {
     Metrics::get().trace_corruptions.inc();
-    // Rewrite one byte with a character that can never be valid in a
-    // numeric field, so the corruption is detectable rather than silent.
+    // Rewrite one byte with a character that is never valid in a numeric
+    // field, so a hit on a number, a tab, a newline or a section name
+    // fails the parse. Not every hit is detectable: 'X' is a valid
+    // lifecycle kind code (Reti), so a P or I row rewritten to X loads
+    // cleanly, and a hit inside an instruction-table name or a bug-kind
+    // string parses as a different string.
     static constexpr char kGarbage[] = {'X', '*', '?', '!', '#'};
     text[rng.below(text.size())] =
         kGarbage[rng.below(sizeof(kGarbage))];

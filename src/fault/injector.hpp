@@ -66,8 +66,9 @@ class FaultInjector {
   // ---- trace I/O layer ---------------------------------------------------
 
   /// Perturb a serialized trace per the plan: maybe truncate at a random
-  /// offset, maybe corrupt one random line. Zero-probability plans return
-  /// the text unchanged without consuming any randomness.
+  /// offset, maybe rewrite one random byte. Some rewrites load cleanly (see
+  /// the definition). Zero-probability plans return the text unchanged
+  /// without consuming any randomness.
   static std::string perturb_trace_text(std::string text,
                                         const FaultPlan& plan,
                                         util::Rng& rng);

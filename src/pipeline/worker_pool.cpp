@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "apps/scenarios.hpp"
@@ -24,16 +23,14 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Chaos-ladder trace I/O leg (same as bench/ext_chaos): save, perturb
-/// with the run-seeded substream, salvage-load. A zero plan perturbs
-/// nothing and the round trip is the identity.
+/// with the run-seeded substream, salvage-load. The text is encoded into
+/// one string, perturbed in place and parsed from a view of it; no stream
+/// copies. A zero plan perturbs nothing and the round trip is the identity.
 trace::NodeTrace round_trip(const trace::NodeTrace& t,
                             const fault::FaultPlan& faults, util::Rng rng) {
-  std::ostringstream saved;
-  trace::save_trace(t, saved);
-  std::string text =
-      fault::FaultInjector::perturb_trace_text(saved.str(), faults, rng);
-  std::istringstream in(text);
-  return trace::load_trace_lenient(in).trace;
+  const std::string text = fault::FaultInjector::perturb_trace_text(
+      trace::save_trace(t), faults, rng);
+  return trace::load_trace_lenient(text).trace;
 }
 
 /// Shared per-runner state: the arena (when pooled) plus where to stream

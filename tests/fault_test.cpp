@@ -16,9 +16,7 @@ namespace sent::fault {
 namespace {
 
 std::string serialized(const trace::NodeTrace& t) {
-  std::ostringstream os;
-  trace::save_trace(t, os);
-  return os.str();
+  return trace::save_trace(t);
 }
 
 // ---- FaultPlan ------------------------------------------------------------
@@ -210,6 +208,51 @@ TEST(PerturbTrace, PerturbedTracesAlwaysSalvage) {
     std::istringstream in(mutated);
     EXPECT_NO_THROW({ trace::load_trace_lenient(in); }) << "iteration " << i;
   }
+}
+
+// Corruption is not always detectable: 'X' is both a garbage byte and the
+// lifecycle kind code of Reti, so a postTask row rewritten to X loads as a
+// complete trace with one item silently changed. Pinned so the comment on
+// perturb_trace_text cannot drift back to claiming otherwise.
+TEST(PerturbTrace, KindRewriteToXLoadsSilently) {
+  apps::Case1Config config;  // the sensor posts tasks; the case-II relay not
+  config.seed = 5;
+  config.sample_periods_ms = {20};
+  config.run_seconds = 2.0;
+  const std::string text =
+      serialized(apps::run_case1(config).runs[0].sensor_trace);
+  const trace::NodeTrace original = trace::load_trace(text);
+  FaultPlan plan;
+  plan.trace_corrupt_prob = 1.0;
+  // Replay the injector's draws to find a seed whose rewrite lands on the
+  // kind code of a postTask row. chance(1.0) draws nothing, and the
+  // assignment's right side (the garbage pick) is drawn before its left
+  // (the byte offset).
+  for (std::uint64_t seed = 0; seed < 200000; ++seed) {
+    util::Rng probe(seed);
+    probe.below(5);
+    const std::size_t at = probe.below(text.size());
+    if (at == 0 || text[at - 1] != '\n' || text.compare(at, 2, "P\t") != 0)
+      continue;
+    util::Rng rng(seed);
+    const std::string corrupted =
+        FaultInjector::perturb_trace_text(text, plan, rng);
+    if (corrupted[at] != 'X') continue;
+    const trace::LenientLoadResult loaded = trace::load_trace_lenient(corrupted);
+    EXPECT_TRUE(loaded.complete) << loaded.error;
+    ASSERT_EQ(loaded.trace.lifecycle.size(), original.lifecycle.size());
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < original.lifecycle.size(); ++i) {
+      if (loaded.trace.lifecycle[i].kind == original.lifecycle[i].kind)
+        continue;
+      ++changed;
+      EXPECT_EQ(original.lifecycle[i].kind, trace::LifecycleKind::PostTask);
+      EXPECT_EQ(loaded.trace.lifecycle[i].kind, trace::LifecycleKind::Reti);
+    }
+    EXPECT_EQ(changed, 1u);
+    return;
+  }
+  FAIL() << "no seed rewrote the P row to X";
 }
 
 }  // namespace

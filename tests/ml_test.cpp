@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 #include "core/detector.hpp"
 #include "ml/detectors.hpp"
@@ -322,6 +323,10 @@ struct NamedFactory {
   std::string name;
   DetectorFactory make;
 };
+
+// Print the parameter by name: gtest's default raw-byte dump embeds heap
+// addresses, which would make the discovered ctest names differ per build.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.name; }
 
 class DetectorSweep : public ::testing::TestWithParam<NamedFactory> {};
 

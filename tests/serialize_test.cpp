@@ -325,6 +325,44 @@ TEST(SerializeLenient, SalvagedRealTraceIsAnalyzable) {
   EXPECT_FALSE(intervals.empty());
 }
 
+// ---- hostile section counts -----------------------------------------------
+
+// A section count is untrusted input: a count far beyond what the file can
+// hold must end in an ordinary salvage, not escape the lenient loader as
+// std::length_error or std::bad_alloc from a reserve sized by the count.
+LenientLoadResult load_with_count(const std::string& section,
+                                  const std::string& count) {
+  std::string text = save_trace(sample());
+  const std::size_t at = text.find("\n" + section + " ");
+  EXPECT_NE(at, std::string::npos) << section;
+  const std::size_t value = at + section.size() + 2;
+  text.replace(value, text.find('\n', value) - value, count);
+  LenientLoadResult result;
+  EXPECT_NO_THROW(result = load_trace_lenient(text)) << section << " " << count;
+  return result;
+}
+
+TEST(SerializeHostile, HugeInstrCountSalvages) {
+  LenientLoadResult r = load_with_count("instrs", "18446744073709551615");
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.trace.lifecycle.size(), sample().lifecycle.size());
+  EXPECT_EQ(r.trace.instrs.size(), sample().instrs.size());
+}
+
+TEST(SerializeHostile, HugeLifecycleCountSalvages) {
+  LenientLoadResult r = load_with_count("lifecycle", "4000000000000");
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.trace.instr_table.size(), sample().instr_table.size());
+  EXPECT_NE(r.error.find("lifecycle"), std::string::npos) << r.error;
+}
+
+TEST(SerializeHostile, HugeInstrTableCountSalvages) {
+  LenientLoadResult r = load_with_count("instr_table", "99999999999");
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.trace.node_id, 7u);
+  EXPECT_TRUE(r.trace.lifecycle.empty());
+}
+
 // ---- fuzz-ish robustness (seeded byte mutations) --------------------------
 
 // Apply one random mutation drawn from the kinds a crashing node or a bad
