@@ -62,7 +62,7 @@ cmake --build build-asan -j "${JOBS}" \
   journal_test cli_test \
   obs_test interval_property_test golden_fig5_test sim_test bytecode_test \
   dispatch_parity_test stream_test stream_parity_test corpus_test \
-  eval_metrics_test
+  eval_metrics_test ocsvm_reference_test ml_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/serialize_test
 # The text trace codec against its iostream/std::stoull oracle: every
@@ -101,6 +101,12 @@ cmake --build build-asan -j "${JOBS}" \
 # hand-fixture metric battery (DESIGN.md §16).
 ./build-asan/tests/corpus_test
 ./build-asan/tests/eval_metrics_test
+# The OCSVM solver reads its Gram through a row -> distinct-row map
+# (DESIGN.md §10): the slot lookups in the gradient, WSS2, pair-update and
+# reconstruction loops are raw indexing, so the reference-parity battery
+# and the detector suite run sanitized.
+./build-asan/tests/ocsvm_reference_test
+./build-asan/tests/ml_test
 
 # Chaos smoke: a small fault-intensity grid end to end. Exits nonzero on
 # any process abort, nondeterminism across thread counts, or a clean row
@@ -205,4 +211,4 @@ rm -f build/BENCH_corpus_j1.json build/BENCH_corpus_j2.json
   --json build/BENCH_sim_smoke.json
 test -s build/BENCH_sim_smoke.json
 
-echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate)"
+echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate)"
