@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + ctest (both dispatch substrates), then
-# the concurrency tests again under ThreadSanitizer (SENT_SANITIZE=thread),
-# an ASan+UBSan pass over the failure-surface and dispatch-parity tests, a
-# chaos smoke run so the injected-fault paths are exercised on every
-# verify, and the interpreter-throughput gate (ext_sim).
+# Tier-1 verification: full build + ctest, then the concurrency tests
+# again under ThreadSanitizer (SENT_SANITIZE=thread), an ASan+UBSan pass
+# over the failure-surface and frozen dispatch-battery tests, a chaos smoke
+# run so the injected-fault paths are exercised on every verify, and the
+# interpreter-throughput gate (ext_sim).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,14 +12,6 @@ JOBS="${JOBS:-$(nproc)}"
 cmake -B build -S .
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
-
-# Parity configuration: the retained closure/boxed substrate as the build
-# default. The whole suite must stay green when every world is built on
-# the reference engine — this is what keeps the bytecode core honest
-# (DESIGN.md §12).
-cmake -B build-refdispatch -S . -DSENT_REFERENCE_DISPATCH=ON
-cmake --build build-refdispatch -j "${JOBS}"
-ctest --test-dir build-refdispatch --output-on-failure -j "${JOBS}"
 
 # ThreadSanitizer pass over the concurrency layer. Only the concurrency
 # test binaries are built in this tree; they are run directly (gtest
@@ -61,7 +53,7 @@ cmake --build build-asan -j "${JOBS}" \
   worker_pool_test \
   journal_test cli_test \
   obs_test interval_property_test golden_fig5_test sim_test bytecode_test \
-  dispatch_parity_test stream_test stream_parity_test corpus_test \
+  dispatch_golden_test stream_test stream_parity_test corpus_test \
   eval_metrics_test ocsvm_reference_test ml_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/serialize_test
@@ -84,12 +76,12 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/tests/interval_property_test
 ./build-asan/tests/golden_fig5_test
 # The interpreter core and event engine under ASan/UBSan: the slab slots,
-# the deferred-inline path, and the cross-substrate parity suite are
-# exactly where lifetime bugs would hide (closures moved out of slots
-# mid-flight, spilled wake-ups, operand-pool pointers).
+# the deferred-inline path, and the frozen dispatch battery are exactly
+# where lifetime bugs would hide (closures moved out of slots mid-flight,
+# spilled wake-ups, operand-pool pointers).
 ./build-asan/tests/sim_test
 ./build-asan/tests/bytecode_test
-./build-asan/tests/dispatch_parity_test
+./build-asan/tests/dispatch_golden_test
 # The streaming ingest surface (DESIGN.md §14): the frame-decoder fuzz
 # battery, quarantine/eviction paths, and the batch≡streaming parity suite
 # all run sanitized — hostile bytes and salvage-after-poison are exactly
@@ -200,15 +192,16 @@ test -s build/BENCH_ml.json
 cmp build/BENCH_corpus_j1.json build/BENCH_corpus_j2.json
 rm -f build/BENCH_corpus_j1.json build/BENCH_corpus_j2.json
 
-# Interpreter-throughput gate: both dispatch engines on the three Fig-5
-# cases. ext_sim exits nonzero if any serialized trace or ranking differs
-# between the engines, if any case's speedup falls below the floor, or if
-# the bytecode engine's virtual-MIPS drops below the floor. Floors are
-# set well under the recorded numbers (BENCH_sim.json: ~7-11x, 96-190
-# vMIPS) to absorb machine noise while still catching a fused-dispatch or
-# event-pool regression, which lands at ~2x / ~20 vMIPS.
-./build/bench/ext_sim --reps 3 --min-speedup 4.0 --min-mips 50 \
+# Interpreter-throughput gate on the three Fig-5 cases (seed 1). ext_sim
+# exits nonzero if any case's serialized traces differ from the digest
+# pinned next to its runner (taken when the bytecode and the retired
+# closure-per-instruction engines agreed byte for byte), or if a case's
+# virtual-MIPS falls below its floor. The floors (cases I,II,III) are 4x
+# the highest closure-engine vMIPS measured on a 4-vCPU host (15.9, 16.9,
+# 9.95), and never below 50; the bytecode engine reads 143-220, 108-184
+# and 57-102 vMIPS there (CHANGES.md).
+./build/bench/ext_sim --reps 3 --min-mips 64,68,50 \
   --json build/BENCH_sim_smoke.json
 test -s build/BENCH_sim_smoke.json
 
-echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate)"
+echo "tier-1 OK (incl. TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-golden/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + pinned-digest vMIPS gate)"

@@ -111,12 +111,6 @@ class Machine {
   }
   std::uint64_t irqs_dropped() const { return irqs_dropped_; }
 
-  /// Dispatch substrate this machine executes (sampled at construction).
-  sim::DispatchMode mode() const {
-    return bytecode_ ? sim::DispatchMode::Bytecode
-                     : sim::DispatchMode::Reference;
-  }
-
   /// Push the batched obs counters into the global registry. Called from
   /// the destructor; the dispatch loop itself only bumps plain integers
   /// (keeping the hot path branch-free, DESIGN.md §12).
@@ -125,9 +119,7 @@ class Machine {
  private:
   struct Frame {
     CodeId code;
-    /// Bytecode mode: word offset into CodeObject::words. Reference mode:
-    /// instruction index into CodeObject::ref_instrs.
-    std::uint32_t pc = 0;
+    std::uint32_t pc = 0;  ///< word offset into CodeObject::words
     bool is_handler = false;
     trace::IrqLine line = 0;          // handlers only
     std::size_t run_item_index = 0;   // tasks only: recorder patch handle
@@ -136,7 +128,6 @@ class Machine {
   sim::EventQueue& queue_;
   trace::Recorder& recorder_;
   const Program& program_;
-  const bool bytecode_;  // dispatch substrate, sampled at construction
   TaskProvider* provider_ = nullptr;
   NestingPolicy nesting_ = NestingPolicy::HigherPriority;
   MachineCosts costs_;
@@ -159,19 +150,18 @@ class Machine {
   static constexpr CodeId kNoHandler = ~CodeId{0};
 
   void schedule_step(std::uint32_t delay);
-  /// Wake from sleep: like schedule_step, but on the bytecode substrate the
-  /// step rides the queue's deferred-inline path (raises come from inside
-  /// device event closures, so the heap round-trip is usually avoidable).
+  /// Wake from sleep: like schedule_step, but the step rides the queue's
+  /// deferred-inline path (raises come from inside device event closures,
+  /// so the heap round-trip is usually avoidable).
   void wake(std::uint32_t delay);
   void step();
   /// One machine step (deliver / execute / start / retire). Returns true
   /// with the cycle cost of the step in `delay` when a continuation is
   /// due, false when the machine goes to sleep. step() either enqueues the
-  /// continuation or — bytecode mode, when the event queue proves nothing
-  /// else fires first — executes it inline without a heap round-trip.
+  /// continuation or — when the event queue proves nothing else fires
+  /// first — executes it inline without a heap round-trip.
   bool step_once(std::uint32_t& delay);
   std::uint32_t exec_bytecode(Frame& frame, const CodeObject& code);
-  std::uint32_t exec_reference(Frame& frame, const CodeObject& code);
 
   /// Lowest-numbered pending line deliverable under the preemption rule,
   /// or -1 if none.

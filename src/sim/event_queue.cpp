@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -41,9 +40,6 @@ constexpr std::uint32_t gen_of(EventId id) {
 
 }  // namespace
 
-EventQueue::EventQueue(DispatchMode mode)
-    : boxed_(mode == DispatchMode::Reference) {}
-
 EventQueue::~EventQueue() { flush_metrics(); }
 
 void EventQueue::flush_metrics() {
@@ -64,15 +60,12 @@ void EventQueue::reset() {
   SENT_REQUIRE_MSG(event_depth_ == 0 && drain_depth_ == 0,
                    "EventQueue::reset inside an event or drain");
   flush_metrics();  // a reset ends the run, same as destruction
-  // Drain the heaps with pop loops so their underlying vectors keep their
+  // Drain the heap with a pop loop so its underlying vector keeps its
   // capacity; destroying the Slot table releases every pending closure.
   while (!pool_heap_.empty()) pool_heap_.pop();
-  while (!boxed_heap_.empty()) boxed_heap_.pop();
   slots_.clear();  // capacity retained: the slab regrows 0,1,2,... like new
   free_slots_.clear();
   next_seq_ = 1;
-  cancelled_.clear();
-  next_boxed_id_ = 1;
   deferred_.clear();
   deferred_inlined_ = deferred_spilled_ = 0;
   now_ = 0;
@@ -110,7 +103,7 @@ std::uint32_t EventQueue::alloc_slot(EventFn fn) {
   return slot;
 }
 
-EventId EventQueue::schedule_pooled(Cycle at, EventFn fn) {
+EventId EventQueue::schedule_fn(Cycle at, EventFn fn) {
   SENT_REQUIRE_MSG(at >= now_, "cannot schedule in the past: at=" << at
                                                                   << " now=" << now_);
   SENT_REQUIRE(static_cast<bool>(fn));
@@ -120,50 +113,19 @@ EventId EventQueue::schedule_pooled(Cycle at, EventFn fn) {
   return (static_cast<EventId>(slot) << 32) | slots_[slot].gen;
 }
 
-EventId EventQueue::schedule_boxed(Cycle at, std::function<void()> fn) {
-  SENT_REQUIRE_MSG(at >= now_, "cannot schedule in the past: at=" << at
-                                                                  << " now=" << now_);
-  SENT_REQUIRE(fn != nullptr);
-  EventId id = next_boxed_id_++;
-  boxed_heap_.push(BoxedEntry{at, id, std::move(fn)});
-  on_scheduled();
-  return id;
-}
-
 // ---- cancellation ---------------------------------------------------------
 
 bool EventQueue::cancel(EventId id) {
-  if (!boxed_) {
-    const std::uint32_t slot = slot_of(id);
-    const std::uint32_t gen = gen_of(id);
-    if (gen == 0 || slot >= slots_.size()) return false;
-    Slot& s = slots_[slot];
-    if (!s.live || s.gen != gen || s.cancelled) return false;
-    s.cancelled = true;
-    s.fn.reset();  // release the capture now; the heap entry is skipped later
-    --live_;
-    ++pending_cancelled_;
-    return true;
-  }
-  if (id == 0 || id >= next_boxed_id_) return false;
-  if (is_cancelled_boxed(id)) return false;
-  // We cannot remove from the heap; mark and skip at pop time. We cannot
-  // tell fired from unknown ids cheaply, so conservatively record the mark;
-  // it is purged when (or if) the entry surfaces.
-  cancelled_.push_back(id);
-  if (live_ > 0) --live_;
+  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t gen = gen_of(id);
+  if (gen == 0 || slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (!s.live || s.gen != gen || s.cancelled) return false;
+  s.cancelled = true;
+  s.fn.reset();  // release the capture now; the heap entry is skipped later
+  --live_;
   ++pending_cancelled_;
   return true;
-}
-
-bool EventQueue::is_cancelled_boxed(EventId id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
-}
-
-void EventQueue::forget_cancelled_boxed(EventId id) {
-  auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it != cancelled_.end()) cancelled_.erase(it);
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
@@ -188,7 +150,7 @@ void EventQueue::check_watchdog() {
   }
 }
 
-bool EventQueue::step_pooled() {
+bool EventQueue::step() {
   // Drop cancelled entries before anything else so they neither advance
   // time nor count against the watchdog budget.
   while (!pool_heap_.empty() && slots_[pool_heap_.top().slot].cancelled) {
@@ -276,39 +238,7 @@ void EventQueue::spill_deferred() {
   deferred_.clear();
 }
 
-bool EventQueue::step_boxed() {
-  while (!boxed_heap_.empty()) {
-    if (is_cancelled_boxed(boxed_heap_.top().id)) {
-      forget_cancelled_boxed(boxed_heap_.top().id);
-      boxed_heap_.pop();
-      continue;
-    }
-    check_watchdog();
-    BoxedEntry e = boxed_heap_.top();
-    boxed_heap_.pop();
-    SENT_ASSERT(e.at >= now_);
-    now_ = e.at;
-    --live_;
-    ++executed_;
-    ++pending_executed_;
-    e.fn();
-    return true;
-  }
-  return false;
-}
-
-bool EventQueue::step() { return boxed_ ? step_boxed() : step_pooled(); }
-
 bool EventQueue::peek_next(Cycle& at) {
-  if (boxed_) {
-    while (!boxed_heap_.empty() && is_cancelled_boxed(boxed_heap_.top().id)) {
-      forget_cancelled_boxed(boxed_heap_.top().id);
-      boxed_heap_.pop();
-    }
-    if (boxed_heap_.empty()) return false;
-    at = boxed_heap_.top().at;
-    return true;
-  }
   while (!pool_heap_.empty() && slots_[pool_heap_.top().slot].cancelled) {
     release_slot(pool_heap_.top().slot);
     pool_heap_.pop();
@@ -319,7 +249,7 @@ bool EventQueue::peek_next(Cycle& at) {
 }
 
 bool EventQueue::inline_allowance(InlineAllowance& a) {
-  if (drain_depth_ == 0 || boxed_ || !deferred_.empty()) return false;
+  if (drain_depth_ == 0 || !deferred_.empty()) return false;
   a.horizon = horizon_;
   a.next_event = kMaxCycle;
   peek_next(a.next_event);

@@ -4,19 +4,10 @@
 // simulation. Events at equal timestamps fire in scheduling (FIFO) order,
 // which keeps multi-node runs fully deterministic.
 //
-// Two engines implement the same contract (DESIGN.md §12):
-//
-//   Pooled — the production engine: closures live in a slab of reusable
-//     slots (EventFn, inline storage: no allocation per event), the heap
-//     orders 24-byte POD entries, and cancellation flips a flag on the
-//     generation-tagged slot in O(1).
-//   Boxed  — the pre-bytecode reference engine, kept for parity testing:
-//     a binary heap of std::function entries with a linear-scan cancelled
-//     list, reproducing the original cost profile exactly.
-//
-// The engine is chosen at construction from sim::dispatch_mode(); both fire
-// events in exactly the same order, so traces are bit-identical across
-// engines.
+// The engine is pooled (DESIGN.md §12): closures live in a slab of reusable
+// slots (EventFn, inline storage: no allocation per event), the heap orders
+// 24-byte POD entries, and cancellation flips a flag on the
+// generation-tagged slot in O(1).
 #pragma once
 
 #include <cstdint>
@@ -25,15 +16,14 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/dispatch.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 
 namespace sent::sim {
 
 /// Handle identifying a scheduled event, usable for cancellation. Never 0,
-/// so 0 works as a "nothing pending" sentinel. Pooled ids encode
-/// (slot, generation); boxed ids are the original monotonic sequence.
+/// so 0 works as a "nothing pending" sentinel. Ids encode (slot,
+/// generation).
 using EventId = std::uint64_t;
 
 /// Thrown by step()/run_until() when the watchdog budget is exhausted: a
@@ -77,10 +67,7 @@ struct InlineAllowance {
 
 class EventQueue {
  public:
-  /// Engine follows the process-wide dispatch mode.
-  EventQueue() : EventQueue(dispatch_mode()) {}
-  /// Pin the engine explicitly (engine-equivalence tests).
-  explicit EventQueue(DispatchMode mode);
+  EventQueue() = default;
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
@@ -93,9 +80,7 @@ class EventQueue {
   /// can be passed to cancel().
   template <typename F>
   EventId schedule_at(Cycle at, F&& fn) {
-    if (boxed_)
-      return schedule_boxed(at, std::function<void()>(std::forward<F>(fn)));
-    return schedule_pooled(at, EventFn(std::forward<F>(fn)));
+    return schedule_fn(at, EventFn(std::forward<F>(fn)));
   }
 
   /// Schedule `fn` after `delay` cycles from now.
@@ -133,7 +118,6 @@ class EventQueue {
     // A parked wake-up (schedule_or_inline) may precede this continuation
     // in FIFO order but is not in the heap yet; refuse until it flushes.
     if (!deferred_.empty()) return false;
-    if (boxed_) return try_step_inline_slow(at);
     if (watchdog_budget_ != 0 &&
         executed_ - watchdog_armed_at_ >= watchdog_budget_) {
       return false;
@@ -155,7 +139,7 @@ class EventQueue {
   }
 
   /// Machine wake-up path (DESIGN.md §12): schedule `fn` at `at`, but when
-  /// called from inside a pooled event's closure, park it in a deferred
+  /// called from inside an event's closure, park it in a deferred
   /// list instead of the heap. After the closure finishes, the entry runs
   /// inline if that is observationally identical to draining it from the
   /// heap, and is enqueued otherwise. The entry reserves its FIFO sequence
@@ -165,7 +149,7 @@ class EventQueue {
   /// schedule_at/schedule_after for anything that may be cancelled.
   template <typename F>
   void schedule_or_inline(Cycle at, F&& fn) {
-    if (boxed_ || event_depth_ == 0) {
+    if (event_depth_ == 0) {
       schedule_at(at, std::forward<F>(fn));
       return;
     }
@@ -176,7 +160,7 @@ class EventQueue {
   /// Batch variant of try_step_inline for the bytecode machine's fused
   /// typed-op loop: fills `a` with the window in which steps may run
   /// inline without consulting the queue again. False when inlining is
-  /// impossible (not draining, or the boxed engine). The allowance is
+  /// impossible (not draining, or a parked wake-up pending). The allowance is
   /// invalidated by ANY queue operation — the caller must hold it only
   /// across steps that touch no queue state.
   bool inline_allowance(InlineAllowance& a);
@@ -206,9 +190,8 @@ class EventQueue {
   /// Total events executed (for perf benches).
   std::uint64_t executed() const { return executed_; }
 
-  /// How many deferred wake-ups ran in place vs. spilled to the heap
-  /// (bytecode engine only; both stay 0 on the reference engine). The sum
-  /// is the number of schedule_or_inline calls made from inside pooled
+  /// How many deferred wake-ups ran in place vs. spilled to the heap. The
+  /// sum is the number of schedule_or_inline calls made from inside event
   /// closures.
   std::uint64_t deferred_inlined() const { return deferred_inlined_; }
   std::uint64_t deferred_spilled() const { return deferred_spilled_; }
@@ -219,11 +202,6 @@ class EventQueue {
   /// schedule unboundedly many events in bounded virtual time.
   void set_watchdog_budget(std::uint64_t budget);
   std::uint64_t watchdog_budget() const { return watchdog_budget_; }
-
-  /// Engine this queue was constructed with.
-  DispatchMode engine() const {
-    return boxed_ ? DispatchMode::Reference : DispatchMode::Bytecode;
-  }
 
   /// Push the batched obs counters into the global registry. Called from
   /// the destructor; the dispatch loop itself only bumps plain integers
@@ -246,8 +224,6 @@ class EventQueue {
   void reset();
 
  private:
-  // ---- pooled engine -----------------------------------------------------
-
   /// Heap entry: plain data, ordered by (at, seq). seq is a monotonic
   /// scheduling sequence, giving FIFO among equal timestamps.
   struct PoolEntry {
@@ -270,18 +246,6 @@ class EventQueue {
     EventFn fn;
   };
 
-  // ---- boxed (reference) engine -----------------------------------------
-
-  struct BoxedEntry {
-    Cycle at;
-    EventId id;
-    std::function<void()> fn;
-    bool operator>(const BoxedEntry& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;  // FIFO among equal timestamps
-    }
-  };
-
   /// A wake-up parked by schedule_or_inline until the current event's
   /// closure returns. `seq` was reserved at defer time.
   struct Deferred {
@@ -290,8 +254,7 @@ class EventQueue {
     EventFn fn;
   };
 
-  EventId schedule_pooled(Cycle at, EventFn fn);
-  EventId schedule_boxed(Cycle at, std::function<void()> fn);
+  EventId schedule_fn(Cycle at, EventFn fn);
   std::uint32_t alloc_slot(EventFn fn);
   bool try_step_inline_slow(Cycle at);
   /// Inline admission for a deferred entry with a reserved seq: pending
@@ -304,18 +267,11 @@ class EventQueue {
   void flush_deferred();
   /// Exception path: spill all deferred entries to the heap.
   void spill_deferred();
-  bool step_pooled();
-  bool step_boxed();
   /// Drop cancelled entries at the head; report the next live fire time.
   bool peek_next(Cycle& at);
   void release_slot(std::uint32_t slot);
   void check_watchdog();
   void on_scheduled();
-
-  bool is_cancelled_boxed(EventId id) const;
-  void forget_cancelled_boxed(EventId id);
-
-  const bool boxed_;
 
   std::priority_queue<PoolEntry, std::vector<PoolEntry>, std::greater<>>
       pool_heap_;
@@ -323,15 +279,10 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
 
-  std::priority_queue<BoxedEntry, std::vector<BoxedEntry>, std::greater<>>
-      boxed_heap_;
-  std::vector<EventId> cancelled_;  // boxed engine: linear scan (retained)
-  EventId next_boxed_id_ = 1;
-
   friend struct DrainScope;
 
-  std::vector<Deferred> deferred_;  // non-empty only inside a pooled fn()
-  std::uint32_t event_depth_ = 0;   // pooled closures currently on the stack
+  std::vector<Deferred> deferred_;  // non-empty only inside an event's fn()
+  std::uint32_t event_depth_ = 0;   // event closures currently on the stack
   std::uint64_t deferred_inlined_ = 0, deferred_spilled_ = 0;
 
   Cycle now_ = 0;
