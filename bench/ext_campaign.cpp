@@ -6,16 +6,19 @@
 // pool workers — both to measure the multi-core speedup and to check,
 // every time, that parallel campaigns produce bit-identical CampaignStats.
 // Timing is warmup + median-of---reps with a per-phase breakdown (setup /
-// simulate / analyze wall seconds from the worker-sharded PhaseShards), so
-// the speedup claims in BENCH_campaign.json are stable and attributable.
+// simulate / trace / analyze wall seconds, read from the obs registry
+// timers as the difference between snapshots taken around each timed
+// leg), so the speedup claims in BENCH_campaign.json are stable and
+// attributable.
 //
 // Scale mode (--scale N): one N-run chaos campaign (the amortized campaign
 // engine's headline, DESIGN.md §15) through three legs — serial pooled,
 // --jobs pooled, and --jobs with fresh per-run construction — asserting
 // CampaignStats AND merged obs snapshots are bit-identical across all
 // three, and reporting speedup / efficiency against min(jobs,
-// hardware_threads). --min-efficiency gates it for CI; --stats-out writes
-// cmp(1)-able stats_json files for the serial and parallel legs.
+// hardware_threads). Every leg's snapshot must count exactly N campaign
+// runs. --min-efficiency gates it for CI; --stats-out writes cmp(1)-able
+// stats_json files for the serial and parallel legs.
 //
 // Durable mode (DESIGN.md §13): with --journal PATH the driver instead
 // runs ONE campaign of the case picked by --case, journaling every
@@ -43,12 +46,6 @@ using namespace sent;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -56,17 +53,67 @@ double median(std::vector<double> v) {
                       : 0.5 * (v[v.size() / 2 - 1] + v[v.size() / 2]);
 }
 
-void print_phases(const char* label, const pipeline::PhaseTotals& t) {
-  std::printf("  %-22s setup %.3fs, simulate %.3fs, analyze %.3fs "
-              "(%llu runs)\n",
-              label, t.setup_seconds, t.simulate_seconds, t.analyze_seconds,
-              static_cast<unsigned long long>(t.runs));
+/// Wall seconds per pipeline phase, summed over timed legs. Each leg adds
+/// what the registry timers (DESIGN.md §11) gained between a snapshot
+/// taken before it and one taken after it.
+struct Phases {
+  double setup = 0.0;     ///< sim.setup_ns: world construction
+  double simulate = 0.0;  ///< sim.drain_ns: event-loop drain
+  double trace = 0.0;     ///< trace.round_trip_ns: chaos trace I/O
+  double analyze = 0.0;   ///< pipeline.analyze_ns: Sentomist back end
+  double run = 0.0;       ///< campaign.run_ns: whole runs
+  std::uint64_t runs = 0;
+
+  void add_leg(const obs::Snapshot& before, const obs::Snapshot& after) {
+    auto delta = [&](const char* timer) {
+      const obs::HistogramData* a = after.timer_data(timer);
+      const obs::HistogramData* b = before.timer_data(timer);
+      return static_cast<double>((a ? a->sum : 0) - (b ? b->sum : 0)) * 1e-9;
+    };
+    setup += delta("sim.setup_ns");
+    simulate += delta("sim.drain_ns");
+    trace += delta("trace.round_trip_ns");
+    analyze += delta("pipeline.analyze_ns");
+    run += delta("campaign.run_ns");
+    runs += after.counter_value("campaign.runs") -
+            before.counter_value("campaign.runs");
+  }
+
+  /// Share of run time no phase timer covers.
+  double unattributed_frac() const {
+    return run > 0.0 ? 1.0 - (setup + simulate + trace + analyze) / run
+                     : 0.0;
+  }
+};
+
+/// One timed campaign with its wall seconds and phase split recorded.
+pipeline::CampaignStats timed_campaign(
+    const pipeline::ScenarioRunnerFactory& factory,
+    const pipeline::CampaignOptions& options, std::vector<double>& secs,
+    Phases& phases) {
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const auto t0 = std::chrono::steady_clock::now();
+  pipeline::CampaignStats stats = pipeline::run_campaign(factory, options);
+  secs.push_back(std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  phases.add_leg(before, obs::Registry::global().snapshot());
+  return stats;
 }
 
-void json_phases(std::ofstream& os, const pipeline::PhaseTotals& t) {
-  os << "{\"setup_seconds\": " << t.setup_seconds
-     << ", \"simulate_seconds\": " << t.simulate_seconds
-     << ", \"analyze_seconds\": " << t.analyze_seconds << "}";
+void print_phases(const char* label, const Phases& p) {
+  std::printf("  %-22s setup %.3fs, simulate %.3fs, trace %.3fs, "
+              "analyze %.3fs, unattributed %.1f%% (%llu runs)\n",
+              label, p.setup, p.simulate, p.trace, p.analyze,
+              100.0 * p.unattributed_frac(),
+              static_cast<unsigned long long>(p.runs));
+}
+
+void json_phases(std::ofstream& os, const Phases& p) {
+  os << "{\"setup_seconds\": " << p.setup
+     << ", \"simulate_seconds\": " << p.simulate
+     << ", \"trace_seconds\": " << p.trace
+     << ", \"analyze_seconds\": " << p.analyze << "}";
 }
 
 /// Durable-mode entry: one journaled (optionally resumed) campaign.
@@ -117,8 +164,8 @@ struct CaseTiming {
   std::size_t reps = 0;
   double serial_seconds = 0.0;    ///< median over reps
   double parallel_seconds = 0.0;  ///< median over reps
-  pipeline::PhaseTotals serial_phases;    ///< summed over timed reps
-  pipeline::PhaseTotals parallel_phases;  ///< summed over timed reps
+  Phases serial_phases;    ///< summed over timed reps
+  Phases parallel_phases;  ///< summed over timed reps
   bool identical = false;
 
   double speedup() const {
@@ -138,20 +185,14 @@ CaseTiming run_both(const std::string& name, const char* printf_label,
   timing.runs = options.runs;
   timing.reps = reps;
 
-  pipeline::PhaseShards serial_shards(1);
-  pipeline::PhaseShards parallel_shards(std::max<std::size_t>(jobs, 1));
-  pipeline::ScenarioRunnerFactory serial_factory =
-      pipeline::make_case_runner_factory(case_name, {}, &serial_shards);
-  pipeline::ScenarioRunnerFactory parallel_factory =
-      pipeline::make_case_runner_factory(case_name, {}, &parallel_shards);
+  const pipeline::ScenarioRunnerFactory factory =
+      pipeline::make_case_runner_factory(case_name, {});
 
   if (warmup_runs > 0) {
     pipeline::CampaignOptions w = options;
     w.runs = std::min(options.runs, warmup_runs);
     w.threads = jobs;
-    pipeline::PhaseShards scratch(std::max<std::size_t>(jobs, 1));
-    (void)pipeline::run_campaign(
-        pipeline::make_case_runner_factory(case_name, {}, &scratch), w);
+    (void)pipeline::run_campaign(factory, w);
   }
 
   pipeline::CampaignStats first;
@@ -159,16 +200,11 @@ CaseTiming run_both(const std::string& name, const char* printf_label,
   std::vector<double> serial_secs, parallel_secs;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     options.threads = 1;
-    auto t0 = std::chrono::steady_clock::now();
-    pipeline::CampaignStats serial =
-        pipeline::run_campaign(serial_factory, options);
-    serial_secs.push_back(seconds_since(t0));
-
+    pipeline::CampaignStats serial = timed_campaign(
+        factory, options, serial_secs, timing.serial_phases);
     options.threads = jobs;
-    t0 = std::chrono::steady_clock::now();
-    pipeline::CampaignStats parallel =
-        pipeline::run_campaign(parallel_factory, options);
-    parallel_secs.push_back(seconds_since(t0));
+    pipeline::CampaignStats parallel = timed_campaign(
+        factory, options, parallel_secs, timing.parallel_phases);
 
     if (rep == 0) first = serial;
     identical = identical && serial == first && parallel == first;
@@ -176,8 +212,6 @@ CaseTiming run_both(const std::string& name, const char* printf_label,
 
   timing.serial_seconds = median(serial_secs);
   timing.parallel_seconds = median(parallel_secs);
-  timing.serial_phases = serial_shards.merged();
-  timing.parallel_phases = parallel_shards.merged();
   timing.identical = identical;
   std::printf("%s %s\n", printf_label, pipeline::summarize(first).c_str());
   print_phases("serial phases:", timing.serial_phases);
@@ -233,30 +267,26 @@ bool write_json(const std::string& path, std::size_t jobs,
 struct ScaleLeg {
   pipeline::CaseRunnerConfig config;
   pipeline::CampaignOptions options;
-  pipeline::PhaseShards shards;
   std::vector<double> secs;
+  Phases phases;
   pipeline::CampaignStats stats;
   obs::Snapshot snapshot;
   double seconds = 0.0;  ///< median over reps
 
   ScaleLeg(const pipeline::CaseRunnerConfig& config,
            const pipeline::CampaignOptions& options)
-      : config(config),
-        options(options),
-        shards(std::max<std::size_t>(options.threads, 1)) {}
+      : config(config), options(options) {}
 };
 
 /// One timed campaign of `leg`; stats from the last rep (all reps are
 /// bit-identical or the campaign itself is broken — checked by the caller
-/// against the serial leg). The obs registry is reset around each rep so
+/// against the serial leg). The obs registry is reset before each rep so
 /// the final snapshot covers exactly one campaign.
 void run_scale_rep(const std::string& case_name, ScaleLeg& leg) {
   obs::Registry::global().reset();
-  pipeline::ScenarioRunnerFactory factory =
-      pipeline::make_case_runner_factory(case_name, leg.config, &leg.shards);
-  auto t0 = std::chrono::steady_clock::now();
-  leg.stats = pipeline::run_campaign(factory, leg.options);
-  leg.secs.push_back(seconds_since(t0));
+  leg.stats = timed_campaign(
+      pipeline::make_case_runner_factory(case_name, leg.config),
+      leg.options, leg.secs, leg.phases);
   leg.snapshot = obs::Registry::global().snapshot();
 }
 
@@ -291,9 +321,8 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
     pipeline::CampaignOptions w = options;
     w.runs = std::min<std::size_t>(options.runs, 8);
     w.threads = jobs;
-    pipeline::PhaseShards scratch(std::max<std::size_t>(jobs, 1));
     (void)pipeline::run_campaign(
-        pipeline::make_case_runner_factory(case_name, pooled, &scratch), w);
+        pipeline::make_case_runner_factory(case_name, pooled), w);
   }
 
   pipeline::CampaignOptions serial_opts = options;
@@ -314,18 +343,23 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
 
   std::printf("serial (pooled):    %.2fs  %s\n", serial.seconds,
               pipeline::summarize(serial.stats).c_str());
-  print_phases("phases:", serial.shards.merged());
+  print_phases("phases:", serial.phases);
   std::printf("--jobs %zu (pooled):  %.2fs\n", jobs, parallel.seconds);
-  print_phases("phases:", parallel.shards.merged());
+  print_phases("phases:", parallel.phases);
   std::printf("--jobs %zu (fresh):   %.2fs (per-run construction, "
               "pre-pool path)\n",
               jobs, fresh_leg.seconds);
+  print_phases("phases:", fresh_leg.phases);
 
   const bool stats_identical = serial.stats == parallel.stats &&
                                serial.stats == fresh_leg.stats;
   const bool obs_identical =
       serial.snapshot.deterministic_equal(parallel.snapshot) &&
       serial.snapshot.deterministic_equal(fresh_leg.snapshot);
+  bool obs_counted = true;
+  for (const ScaleLeg* leg : {&serial, &parallel, &fresh_leg})
+    obs_counted = obs_counted &&
+                  leg->snapshot.counter_value("campaign.runs") == options.runs;
   const double speedup = parallel.seconds > 0.0
                              ? serial.seconds / parallel.seconds
                              : 0.0;
@@ -339,6 +373,8 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
               stats_identical ? "yes" : "NO");
   std::printf("obs snapshots bit-identical:                       %s\n",
               obs_identical ? "yes" : "NO");
+  std::printf("every leg's snapshot counts %zu campaign runs:     %s\n",
+              options.runs, obs_counted ? "yes" : "NO");
   std::printf("speedup %.2fx over serial at --jobs %zu; efficiency %.2f "
               "of %zu effective core(s); pooled %.2fx vs fresh\n",
               speedup, jobs, efficiency, effective, pool_gain);
@@ -380,16 +416,20 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
      << ",\n  \"stats_identical\": "
      << (stats_identical ? "true" : "false")
      << ",\n  \"obs_identical\": " << (obs_identical ? "true" : "false")
+     << ",\n  \"obs_counted\": " << (obs_counted ? "true" : "false")
+     << ",\n  \"unattributed_frac\": " << serial.phases.unattributed_frac()
      << ",\n  \"serial_phases\": ";
-  json_phases(os, serial.shards.merged());
+  json_phases(os, serial.phases);
   os << ",\n  \"parallel_phases\": ";
-  json_phases(os, parallel.shards.merged());
+  json_phases(os, parallel.phases);
+  os << ",\n  \"fresh_phases\": ";
+  json_phases(os, fresh_leg.phases);
   os << ",\n  \"triggered\": " << serial.stats.triggered
      << ",\n  \"failed\": " << serial.stats.failed
      << ",\n  \"timed_out\": " << serial.stats.timed_out << "\n}\n";
   std::printf("timing written to %s\n", cli.get("json").c_str());
 
-  if (!stats_identical || !obs_identical) return 1;
+  if (!stats_identical || !obs_identical || !obs_counted) return 1;
   if (min_efficiency > 0.0 && efficiency < min_efficiency) {
     std::fprintf(stderr,
                  "FAIL: efficiency %.2f below --min-efficiency %.2f\n",
@@ -455,6 +495,8 @@ int main(int argc, char** argv) {
   std::size_t jobs = bench::parse_jobs(cli);
 
   if (!cli.get("journal").empty()) return run_durable(cli, options, jobs);
+  // The timed legs read their phase split from the registry timers.
+  obs::Registry::global().set_enabled(true);
   if (cli.get_int("scale") > 0) return run_scale(cli, options, jobs);
 
   const auto reps =

@@ -135,16 +135,30 @@ cmp build/metrics_j1.json build/metrics_j2.json
 
 # Scaling regression gate (DESIGN.md §15.5): a reduced chaos campaign
 # through the amortized engine, serial vs --jobs 2, pooled vs fresh.
-# ext_campaign --scale exits nonzero on any stats or obs-snapshot
-# divergence between the three legs, or when parallel efficiency
-# (speedup / min(jobs, hardware cores)) drops below the floor — 0.55
-# tolerates single-core containers and scheduler noise while still
+# ext_campaign --scale records every leg into the obs registry and exits
+# nonzero on any stats or obs-snapshot divergence between the three legs,
+# on a leg whose snapshot does not count all 200 runs, or when parallel
+# efficiency (speedup / min(jobs, hardware cores)) drops below the floor —
+# 0.55 tolerates single-core containers and scheduler noise while still
 # catching a reintroduced hot-path lock, which lands far below it.
 ./build/bench/ext_campaign --scale 200 --jobs 2 --reps 2 --warmup 8 \
   --min-efficiency 0.55 --stats-out build/scale_stats \
   --json build/BENCH_scale_smoke.json
 # The deterministic stats JSON must be byte-identical across schedules.
 cmp build/scale_stats.serial.json build/scale_stats.parallel.json
+# The phase timers must account for the serial leg's run time: the trace
+# round trip is timed, and the share of campaign.run_ns outside the four
+# phase timers (sim.setup_ns, sim.drain_ns, trace.round_trip_ns,
+# pipeline.analyze_ns) stays small. Eight runs on a 4-core host read
+# 1.1-1.4%; the 0.05 bound leaves 3.7x margin and trips if the drain,
+# trace or analyze timer goes missing (each is >10% of a run).
+python3 - <<'EOF'
+import json
+scale = json.load(open("build/BENCH_scale_smoke.json"))
+assert scale["serial_phases"]["trace_seconds"] > 0, "trace round trip untimed"
+frac = scale["unattributed_frac"]
+assert 0 <= frac <= 0.05, f"unattributed_frac {frac} outside [0, 0.05]"
+EOF
 rm -f build/scale_stats.serial.json build/scale_stats.parallel.json
 
 # Crash-resume smoke (DESIGN.md §13): run a journaled campaign that

@@ -175,8 +175,8 @@ std::uint64_t Snapshot::gauge_value(std::string_view name) const {
   return v ? *v : 0;
 }
 
-const HistogramData* Snapshot::histogram_data(std::string_view name) const {
-  return find_sorted(histograms, name);
+const HistogramData* Snapshot::timer_data(std::string_view name) const {
+  return find_sorted(timers, name);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,8 +392,10 @@ ScopedTimer::ScopedTimer(Histogram timer) : timer_(timer) {
   }
 }
 
-ScopedTimer::~ScopedTimer() {
-  if (armed_) timer_.record(Registry::now_ns() - start_ns_);
+void ScopedTimer::stop() {
+  if (!armed_) return;
+  armed_ = false;
+  timer_.record(Registry::now_ns() - start_ns_);
 }
 
 }  // namespace sent::obs

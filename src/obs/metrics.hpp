@@ -79,8 +79,8 @@ struct Snapshot {
   /// on these instead of re-parsing to_json().
   std::uint64_t counter_value(std::string_view name) const;
   std::uint64_t gauge_value(std::string_view name) const;
-  /// Merged histogram by name, nullptr when absent.
-  const HistogramData* histogram_data(std::string_view name) const;
+  /// Merged timer by name, nullptr when absent.
+  const HistogramData* timer_data(std::string_view name) const;
 };
 
 class Registry;
@@ -218,12 +218,16 @@ class Registry {
 };
 
 /// RAII wall-clock phase timer; records elapsed nanoseconds into a
-/// Registry::timer histogram on destruction. No clock call when the
-/// registry is disabled at construction.
+/// Registry::timer histogram on destruction, or earlier at stop() when the
+/// phase ends before the scope does. No clock call when the registry is
+/// disabled at construction.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram timer);
-  ~ScopedTimer();
+  ~ScopedTimer() { stop(); }
+
+  /// Record now; later calls and the destructor record nothing.
+  void stop();
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

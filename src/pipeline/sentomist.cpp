@@ -28,6 +28,8 @@ struct Metrics {
       obs::Registry::global().counter("pipeline.knn_fallbacks");
   obs::Histogram samples_per_analysis =
       obs::Registry::global().histogram("pipeline.samples_per_analysis");
+  obs::Histogram analyze_ns =
+      obs::Registry::global().timer("pipeline.analyze_ns");
 
   static const Metrics& get() {
     static Metrics m;
@@ -108,6 +110,7 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
                        trace::IrqLine line, const AnalysisOptions& options) {
   SENT_REQUIRE_MSG(!traces.empty(), "no traces to analyze");
   obs::Span analyze_span("pipeline.analyze", "pipeline", line);
+  obs::ScopedTimer analyze_timer(Metrics::get().analyze_ns);
   Metrics::get().analyses.inc();
 
   AnalysisReport report;

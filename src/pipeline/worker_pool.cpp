@@ -1,12 +1,13 @@
 #include "pipeline/worker_pool.hpp"
 
-#include <chrono>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "apps/scenarios.hpp"
 #include "apps/world_arena.hpp"
 #include "fault/injector.hpp"
+#include "obs/metrics.hpp"
 #include "os/irq.hpp"
 #include "trace/serialize.hpp"
 #include "util/assert.hpp"
@@ -16,55 +17,32 @@ namespace sent::pipeline {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Chaos-ladder trace I/O leg (same as bench/ext_chaos): save, perturb
 /// with the run-seeded substream, salvage-load. The text is encoded into
 /// one string, perturbed in place and parsed from a view of it; no stream
 /// copies. A zero plan perturbs nothing and the round trip is the identity.
+/// Timed as trace.round_trip_ns, apart from pipeline.analyze_ns, so the
+/// back end is not charged for the codec (DESIGN.md §11).
 trace::NodeTrace round_trip(const trace::NodeTrace& t,
                             const fault::FaultPlan& faults, util::Rng rng) {
+  static const obs::Histogram round_trip_ns =
+      obs::Registry::global().timer("trace.round_trip_ns");
+  obs::ScopedTimer timer(round_trip_ns);
   const std::string text = fault::FaultInjector::perturb_trace_text(
       trace::save_trace(t), faults, rng);
   return trace::load_trace_lenient(text).trace;
 }
 
-/// Shared per-runner state: the arena (when pooled) plus where to stream
-/// phase totals. Lives in the runner closure via shared_ptr because
-/// ScenarioRunner is a copyable std::function.
-struct RunnerState {
-  std::unique_ptr<apps::WorldArena> arena;  ///< null = fresh construction
-  PhaseShards* phases = nullptr;
-  std::size_t worker = 0;
+/// A runner's worker-local arena, or null for fresh construction. Shared
+/// because ScenarioRunner is a copyable std::function.
+using ArenaPtr = std::shared_ptr<apps::WorldArena>;
 
-  apps::WorldArena* arena_ptr() { return arena.get(); }
+ArenaPtr make_arena(const CaseRunnerConfig& config) {
+  return config.pooled ? std::make_shared<apps::WorldArena>() : nullptr;
+}
 
-  void account(double setup, double simulate, double analyze) {
-    if (!phases) return;
-    PhaseTotals& t = phases->shard(worker);
-    t.setup_seconds += setup;
-    t.simulate_seconds += simulate;
-    t.analyze_seconds += analyze;
-    ++t.runs;
-  }
-
-  void recycle(trace::NodeTrace&& t) {
-    if (arena) arena->recycle(std::move(t));
-  }
-};
-
-std::shared_ptr<RunnerState> make_state(const CaseRunnerConfig& config,
-                                        PhaseShards* phases,
-                                        std::size_t worker) {
-  auto state = std::make_shared<RunnerState>();
-  if (config.pooled) state->arena = std::make_unique<apps::WorldArena>();
-  state->phases = phases;
-  state->worker = worker;
-  return state;
+void recycle(const ArenaPtr& arena, trace::NodeTrace&& t) {
+  if (arena) arena->recycle(std::move(t));
 }
 
 fault::FaultPlan plan_for(const CaseRunnerConfig& config) {
@@ -73,69 +51,58 @@ fault::FaultPlan plan_for(const CaseRunnerConfig& config) {
              : fault::FaultPlan{};
 }
 
-ScenarioRunner make_case1_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
+ScenarioRunner make_case1_runner(const CaseRunnerConfig& config) {
+  return [config, arena = make_arena(config)](std::uint64_t seed) {
     apps::Case1Config c;
     c.seed = seed;
     c.sample_periods_ms = {20};  // the vulnerable rate
     c.run_seconds = 10.0;
     c.faults = plan_for(config);
     c.event_budget = config.event_budget;
-    apps::Case1Result r = apps::run_case1(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
+    apps::Case1Result r = apps::run_case1(c, arena.get());
     AnalysisReport report;
     if (config.trace_round_trip) {
       trace::NodeTrace t = round_trip(r.runs[0].sensor_trace, c.faults,
                                       util::Rng(seed).substream("trace-faults"));
       report = analyze({{&t, 0}}, os::irq::kAdc);
-      state->recycle(std::move(t));
+      recycle(arena, std::move(t));
     } else {
       report = analyze({{&r.runs[0].sensor_trace, 0}}, os::irq::kAdc);
     }
     for (apps::Case1Run& run : r.runs)
-      state->recycle(std::move(run.sensor_trace));
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
+      recycle(arena, std::move(run.sensor_trace));
     return report;
   };
 }
 
-ScenarioRunner make_case2_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
+ScenarioRunner make_case2_runner(const CaseRunnerConfig& config) {
+  return [config, arena = make_arena(config)](std::uint64_t seed) {
     apps::Case2Config c;
     c.seed = seed;
     c.faults = plan_for(config);
     c.event_budget = config.event_budget;
-    apps::Case2Result r = apps::run_case2(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
+    apps::Case2Result r = apps::run_case2(c, arena.get());
     AnalysisReport report;
     if (config.trace_round_trip) {
       trace::NodeTrace t = round_trip(r.relay_trace, c.faults,
                                       util::Rng(seed).substream("trace-faults"));
       report = analyze({{&t, 0}}, os::irq::kRadioSpi);
-      state->recycle(std::move(t));
+      recycle(arena, std::move(t));
     } else {
       report = analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi);
     }
-    state->recycle(std::move(r.relay_trace));
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
+    recycle(arena, std::move(r.relay_trace));
     return report;
   };
 }
 
-ScenarioRunner make_case3_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
+ScenarioRunner make_case3_runner(const CaseRunnerConfig& config) {
+  return [config, arena = make_arena(config)](std::uint64_t seed) {
     apps::Case3Config c;
     c.seed = seed;
     c.faults = plan_for(config);
     c.event_budget = config.event_budget;
-    apps::Case3Result r = apps::run_case3(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
+    apps::Case3Result r = apps::run_case3(c, arena.get());
     AnalysisReport report;
     if (config.trace_round_trip) {
       // Per-node perturbation substreams, same keying as bench/ext_chaos.
@@ -149,14 +116,13 @@ ScenarioRunner make_case3_runner(const CaseRunnerConfig& config,
       std::vector<TaggedTrace> traces;
       for (trace::NodeTrace& t : salvaged) traces.push_back({&t, 0});
       report = analyze(traces, r.report_line);
-      for (trace::NodeTrace& t : salvaged) state->recycle(std::move(t));
+      for (trace::NodeTrace& t : salvaged) recycle(arena, std::move(t));
     } else {
       std::vector<TaggedTrace> traces;
       for (net::NodeId src : r.sources) traces.push_back({&r.traces[src], 0});
       report = analyze(traces, r.report_line);
     }
-    if (state->arena) state->arena->recycle_all(r.traces);
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
+    if (arena) arena->recycle_all(r.traces);
     return report;
   };
 }
@@ -164,14 +130,13 @@ ScenarioRunner make_case3_runner(const CaseRunnerConfig& config,
 }  // namespace
 
 ScenarioRunnerFactory make_case_runner_factory(const std::string& name,
-                                               const CaseRunnerConfig& config,
-                                               PhaseShards* phases) {
+                                               const CaseRunnerConfig& config) {
   SENT_REQUIRE_MSG(name == "I" || name == "II" || name == "III",
                    "unknown case study: " << name);
-  return [name, config, phases](std::size_t worker) {
-    if (name == "I") return make_case1_runner(config, phases, worker);
-    if (name == "III") return make_case3_runner(config, phases, worker);
-    return make_case2_runner(config, phases, worker);
+  return [name, config](std::size_t) {
+    if (name == "I") return make_case1_runner(config);
+    if (name == "III") return make_case3_runner(config);
+    return make_case2_runner(config);
   };
 }
 

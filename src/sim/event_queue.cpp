@@ -23,6 +23,7 @@ struct Metrics {
   obs::Counter watchdog_trips =
       obs::Registry::global().counter("sim.watchdog_trips");
   obs::Gauge queue_hwm = obs::Registry::global().gauge("sim.queue_hwm");
+  obs::Histogram drain_ns = obs::Registry::global().timer("sim.drain_ns");
 
   static const Metrics& get() {
     static Metrics m;
@@ -297,6 +298,7 @@ struct DrainScope {
 };
 
 void EventQueue::run_until(Cycle until) {
+  obs::ScopedTimer drain(Metrics::get().drain_ns);
   DrainScope scope(*this, until);
   Cycle at = 0;
   while (peek_next(at) && at <= until) step();

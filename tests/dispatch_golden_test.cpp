@@ -60,11 +60,15 @@ std::string serialize(const std::vector<trace::NodeTrace>& traces) {
   return bytes;
 }
 
-/// Ranking signature: sample order plus exact scores.
-std::string ranking_of(const trace::NodeTrace& t, trace::IrqLine line) {
+/// Ranking signature: sample order plus exact scores. `top_score`, when
+/// given, receives the highest score ranked (0 when nothing was ranked).
+std::string ranking_of(const trace::NodeTrace& t, trace::IrqLine line,
+                       double* top_score = nullptr) {
   std::vector<pipeline::TaggedTrace> tagged{{&t, 0}};
   pipeline::AnalysisReport report = pipeline::analyze(tagged, line);
   std::string signature;
+  if (top_score)
+    *top_score = report.ranking.empty() ? 0.0 : report.ranking.back().score;
   for (const auto& e : report.ranking) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%zu:%.17g;", e.sample_index, e.score);
@@ -200,17 +204,29 @@ TEST(DispatchParity, RandomizedWorkloadBattery) {
   }
 }
 
+// A 2-s run ranks two report intervals, both scored 0, so those lines pin
+// the traces only; the longer runs rank enough intervals for the OCSVM to
+// score them apart, so their ranking half pins real scores too.
 TEST(DispatchParity, RandomizedCase3Battery) {
   util::Rng gen(0xD15FA7C5);
-  for (int round = 0; round < 2; ++round) {
-    const std::uint64_t seed = 1 + gen.below(1'000'000);
-    apps::Case3Config config;
-    config.seed = seed;
-    config.run_seconds = 2.0;
-    config.event_budget = 50'000'000;
-    apps::Case3Result r = apps::run_case3(config);
-    check("battery-case3/seed" + std::to_string(seed), serialize(r.traces),
-          ranking_of(r.traces[r.sources.front()], r.report_line));
+  for (double run_seconds : {2.0, 12.0}) {
+    for (int round = 0; round < 2; ++round) {
+      const std::uint64_t seed = 1 + gen.below(1'000'000);
+      apps::Case3Config config;
+      config.seed = seed;
+      config.run_seconds = run_seconds;
+      config.event_budget = 50'000'000;
+      apps::Case3Result r = apps::run_case3(config);
+      std::string entry = "battery-case3/seed" + std::to_string(seed);
+      double top_score = 0.0;
+      const std::string ranking =
+          ranking_of(r.traces[r.sources.front()], r.report_line, &top_score);
+      if (run_seconds > 2.0) {
+        entry += "/12s";
+        EXPECT_GT(top_score, 0.5) << entry << ": no sample scored apart";
+      }
+      check(entry, serialize(r.traces), ranking);
+    }
   }
 }
 

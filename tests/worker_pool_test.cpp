@@ -181,6 +181,7 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
 TEST(WorkerPoolParity, ObsSnapshotsMatchPooledVsFresh) {
   auto snapshot_for = [](bool pooled) {
     obs::Registry::global().reset();
+    obs::Registry::global().set_enabled(true);
     CaseRunnerConfig config;
     config.pooled = pooled;
     CampaignOptions options;
@@ -189,10 +190,12 @@ TEST(WorkerPoolParity, ObsSnapshotsMatchPooledVsFresh) {
     options.k = 5;
     options.threads = 1;
     run_campaign(make_case_runner_factory("II", config), options);
+    obs::Registry::global().set_enabled(false);
     return obs::Registry::global().snapshot();
   };
   obs::Snapshot pooled = snapshot_for(true);
   obs::Snapshot fresh = snapshot_for(false);
+  EXPECT_EQ(pooled.counter_value("campaign.runs"), 3u);
   EXPECT_TRUE(pooled.deterministic_equal(fresh));
   EXPECT_TRUE(fresh.deterministic_equal(pooled));
 }
@@ -228,23 +231,40 @@ TEST(WorkerPool, FactoryInvokedAtMostOncePerWorker) {
   EXPECT_LE(built.load(), 4);
 }
 
-// Phase shards: every completed run is accounted exactly once, and the
-// merge covers every worker's shard.
-TEST(WorkerPoolPhases, ShardsCountEveryCompletedRun) {
-  PhaseShards shards(4);
-  CampaignOptions options;
-  options.first_seed = 1;
-  options.runs = 6;
-  options.k = 5;
-  options.threads = 4;
-  CampaignStats stats = run_campaign(
-      make_case_runner_factory("II", {}, &shards), options);
-  EXPECT_EQ(stats.runs, 6u);
-  PhaseTotals total = shards.merged();
-  EXPECT_EQ(total.runs, 6u);
-  EXPECT_GT(total.simulate_seconds, 0.0);
-  EXPECT_GT(total.analyze_seconds, 0.0);
-  EXPECT_GE(total.setup_seconds, 0.0);
+// Phase timers (DESIGN.md §11): on a chaos campaign every attempt records
+// each phase timer once, at any thread count, and the deterministic
+// snapshot sections never carry timers, so they stay byte-identical.
+TEST(WorkerPoolPhases, RegistryTimersCountEveryAttempt) {
+  obs::Registry& registry = obs::Registry::global();
+  CaseRunnerConfig config;
+  config.intensity = 0.5;
+  config.event_budget = 50'000'000;
+  config.trace_round_trip = true;
+  std::vector<std::string> json;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    registry.reset();
+    registry.set_enabled(true);
+    CampaignOptions options;
+    options.first_seed = 1;
+    options.runs = 6;
+    options.k = 5;
+    options.threads = threads;
+    CampaignStats stats =
+        run_campaign(make_case_runner_factory("II", config), options);
+    registry.set_enabled(false);
+    ASSERT_EQ(stats.failed + stats.timed_out, 0u);
+    const obs::Snapshot snap = registry.snapshot();
+    json.push_back(snap.to_json());
+    for (const char* name : {"sim.setup_ns", "sim.drain_ns",
+                             "trace.round_trip_ns", "pipeline.analyze_ns"}) {
+      const obs::HistogramData* timer = snap.timer_data(name);
+      ASSERT_NE(timer, nullptr) << name;
+      EXPECT_EQ(timer->count, stats.runs + stats.retried)
+          << name << " at threads " << threads;
+      EXPECT_EQ(json.back().find(name), std::string::npos) << name;
+    }
+  }
+  EXPECT_EQ(json[0], json[1]);
 }
 
 // Seed batching must not move stats: any chunk size aggregates in seed
