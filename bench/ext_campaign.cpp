@@ -281,13 +281,18 @@ struct ScaleLeg {
 /// One timed campaign of `leg`; stats from the last rep (all reps are
 /// bit-identical or the campaign itself is broken — checked by the caller
 /// against the serial leg). The obs registry is reset before each rep so
-/// the final snapshot covers exactly one campaign.
+/// the leg's snapshot covers exactly one campaign; what it held before is
+/// added back afterwards, so the registry, and the --metrics file, still
+/// cover the whole invocation as in grid mode.
 void run_scale_rep(const std::string& case_name, ScaleLeg& leg) {
-  obs::Registry::global().reset();
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Snapshot earlier = registry.snapshot();
+  registry.reset();
   leg.stats = timed_campaign(
       pipeline::make_case_runner_factory(case_name, leg.config),
       leg.options, leg.secs, leg.phases);
-  leg.snapshot = obs::Registry::global().snapshot();
+  leg.snapshot = registry.snapshot();
+  registry.add(earlier);
 }
 
 int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
@@ -317,9 +322,10 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
               effective, reps);
 
   // Warmup: one small pooled campaign pages in code and pool workers.
+  const std::size_t warmup_runs = std::min<std::size_t>(options.runs, 8);
   {
     pipeline::CampaignOptions w = options;
-    w.runs = std::min<std::size_t>(options.runs, 8);
+    w.runs = warmup_runs;
     w.threads = jobs;
     (void)pipeline::run_campaign(
         pipeline::make_case_runner_factory(case_name, pooled), w);
@@ -404,6 +410,7 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
   }
   os << "{\n  \"mode\": \"scale\",\n  \"case\": \"" << case_name
      << "\",\n  \"runs\": " << options.runs << ",\n  \"reps\": " << reps
+     << ",\n  \"warmup_runs\": " << warmup_runs
      << ",\n  \"intensity\": " << intensity << ",\n  \"jobs\": " << jobs
      << ",\n  \"hardware_threads\": " << hw
      << ",\n  \"effective_jobs\": " << effective

@@ -143,7 +143,7 @@ cmp build/metrics_j1.json build/metrics_j2.json
 # catching a reintroduced hot-path lock, which lands far below it.
 ./build/bench/ext_campaign --scale 200 --jobs 2 --reps 2 --warmup 8 \
   --min-efficiency 0.55 --stats-out build/scale_stats \
-  --json build/BENCH_scale_smoke.json
+  --metrics build/metrics_scale.json --json build/BENCH_scale_smoke.json
 # The deterministic stats JSON must be byte-identical across schedules.
 cmp build/scale_stats.serial.json build/scale_stats.parallel.json
 # The phase timers must account for the serial leg's run time: the trace
@@ -151,13 +151,18 @@ cmp build/scale_stats.serial.json build/scale_stats.parallel.json
 # phase timers (sim.setup_ns, sim.drain_ns, trace.round_trip_ns,
 # pipeline.analyze_ns) stays small. Eight runs on a 4-core host read
 # 1.1-1.4%; the 0.05 bound leaves 3.7x margin and trips if the drain,
-# trace or analyze timer goes missing (each is >10% of a run).
+# trace or analyze timer goes missing (each is >10% of a run). The
+# --metrics file must cover the whole invocation: the warmup campaign plus
+# every rep of all three legs.
 python3 - <<'EOF'
 import json
 scale = json.load(open("build/BENCH_scale_smoke.json"))
 assert scale["serial_phases"]["trace_seconds"] > 0, "trace round trip untimed"
 frac = scale["unattributed_frac"]
 assert 0 <= frac <= 0.05, f"unattributed_frac {frac} outside [0, 0.05]"
+runs = json.load(open("build/metrics_scale.json"))["counters"]["campaign.runs"]
+total = 3 * scale["reps"] * scale["runs"] + scale["warmup_runs"]
+assert runs == total, f"metrics file counts {runs} campaign runs, not {total}"
 EOF
 rm -f build/scale_stats.serial.json build/scale_stats.parallel.json
 

@@ -361,6 +361,28 @@ void Registry::reset() {
   }
 }
 
+void Registry::add(const Snapshot& snapshot) {
+  Shard& own = *shard();
+  for (const auto& [name, value] : snapshot.counters)
+    own.counters[counter(name).slot_].fetch_add(value,
+                                                std::memory_order_relaxed);
+  for (const auto& [name, value] : snapshot.gauges)
+    atomic_max(own.gauges[gauge(name).slot_], value);
+  auto merge = [&](Histogram handle, const HistogramData& data) {
+    if (data.count == 0) return;
+    HistCell& cell = hist_cell(own, handle.slot_);
+    cell.count.fetch_add(data.count, std::memory_order_relaxed);
+    cell.sum.fetch_add(data.sum, std::memory_order_relaxed);
+    atomic_min(cell.min, data.min);
+    atomic_max(cell.max, data.max);
+    for (std::size_t b = 0; b < kHistBuckets; ++b)
+      cell.buckets[b].fetch_add(data.buckets[b], std::memory_order_relaxed);
+  };
+  for (const auto& [name, data] : snapshot.histograms)
+    merge(histogram(name), data);
+  for (const auto& [name, data] : snapshot.timers) merge(timer(name), data);
+}
+
 // ---------------------------------------------------------------------------
 
 void Counter::inc(std::uint64_t n) const {

@@ -168,6 +168,13 @@ class Registry {
   /// benches/tests that measure one workload at a time.
   void reset();
 
+  /// Add a snapshot's values into this registry as if they had been
+  /// recorded again: counters summed, gauges maxed, histograms and timers
+  /// merged bucket-wise. A bench that resets between measured workloads
+  /// adds back what it held before, so the registry still covers the whole
+  /// invocation. Applies whether or not recording is enabled.
+  void add(const Snapshot& snapshot);
+
   /// Monotonic wall clock, nanoseconds (steady_clock).
   static std::uint64_t now_ns();
 

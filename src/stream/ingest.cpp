@@ -549,13 +549,17 @@ void FleetIngest::rebuild_board() {
     if (samples_[i].mode == ScoreMode::Full ||
         samples_[i].mode == ScoreMode::Cached)
       scored.push_back(i);
-  std::sort(scored.begin(), scored.end(),
-            [this](std::size_t a, std::size_t b) {
-              if (samples_[a].score != samples_[b].score)
-                return samples_[a].score < samples_[b].score;
-              return a < b;
-            });
-  if (scored.size() > config_.top_k) scored.resize(config_.top_k);
+  // Only the top_k most suspicious entries are kept, so select them instead
+  // of sorting every scored sample. (score, sample index) is a total order,
+  // so the board equals the first top_k of a full sort.
+  const std::size_t k = std::min(scored.size(), config_.top_k);
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    [this](std::size_t a, std::size_t b) {
+                      if (samples_[a].score != samples_[b].score)
+                        return samples_[a].score < samples_[b].score;
+                      return a < b;
+                    });
+  scored.resize(k);
   board_.clear();
   for (std::size_t i : scored) {
     const SampleSlot& slot = samples_[i];

@@ -1,6 +1,8 @@
 #include "trace/framing.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <string_view>
 
 #include "util/assert.hpp"
@@ -36,25 +38,38 @@ struct Cursor {
   std::size_t pos = 0;
   bool failed = false;
 
-  bool has(std::size_t n) const { return !failed && bytes.size() - pos >= n; }
+  std::size_t remaining() const { return bytes.size() - pos; }
+  bool has(std::size_t n) const { return !failed && remaining() >= n; }
 
-  std::uint64_t read(std::size_t n) {
-    if (!has(n)) {
+  /// One fixed-width little-endian field. On a little-endian host the wire
+  /// order is the host order, so the field is a single load.
+  template <typename T>
+  T read() {
+    if (!has(sizeof(T))) {
       failed = true;
       return 0;
     }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      v |= std::uint64_t{bytes[pos + i]} << (8 * i);
-    pos += n;
+    const std::uint8_t* p = bytes.data() + pos;
+    pos += sizeof(T);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
+    }
     return v;
   }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(read(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(read(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(read(4)); }
-  std::uint64_t u64() { return read(8); }
+  std::uint8_t u8() { return read<std::uint8_t>(); }
+  std::uint16_t u16() { return read<std::uint16_t>(); }
+  std::uint32_t u32() { return read<std::uint32_t>(); }
+  std::uint64_t u64() { return read<std::uint64_t>(); }
 };
+
+/// Wire size of the smallest Events record: a bug marker with an empty kind
+/// string (kind code, u64 cycle, u16 length).
+constexpr std::size_t kMinEventRecordBytes = 1 + 8 + 2;
 
 void encode_payload(const Frame& frame, std::vector<std::uint8_t>& out) {
   switch (frame.type) {
@@ -106,14 +121,21 @@ bool decode_payload(Cursor& c, Frame& frame, std::string& error) {
       return !c.failed;
     case FrameType::Events: {
       std::uint32_t count = c.u32();
-      // No reserve from the wire-supplied count: a corrupt count must cost
-      // O(actual bytes), not O(claimed records), before it is rejected.
+      // Reserve no more records than the remaining bytes could hold, so a
+      // corrupt count costs O(actual bytes), not O(claimed records), before
+      // it is rejected.
+      frame.events.reserve(std::min<std::size_t>(
+          count, c.remaining() / kMinEventRecordBytes));
       for (std::uint32_t i = 0; i < count; ++i) {
-        FrameEvent ev;
         std::uint8_t kind = c.u8();
-        switch (kind) {
-          case static_cast<std::uint8_t>(FrameEvent::Kind::Lifecycle): {
-            ev.kind = FrameEvent::Kind::Lifecycle;
+        if (kind > static_cast<std::uint8_t>(FrameEvent::Kind::Bug)) {
+          error = "unknown event kind code " + std::to_string(kind);
+          return false;
+        }
+        FrameEvent& ev = frame.events.emplace_back();
+        ev.kind = static_cast<FrameEvent::Kind>(kind);
+        switch (ev.kind) {
+          case FrameEvent::Kind::Lifecycle: {
             std::uint8_t lk = c.u8();
             if (lk > static_cast<std::uint8_t>(LifecycleKind::Reti)) {
               error = "unknown lifecycle kind code " + std::to_string(lk);
@@ -131,13 +153,11 @@ bool decode_payload(Cursor& c, Frame& frame, std::string& error) {
             }
             break;
           }
-          case static_cast<std::uint8_t>(FrameEvent::Kind::Instr):
-            ev.kind = FrameEvent::Kind::Instr;
+          case FrameEvent::Kind::Instr:
             ev.instr.cycle = c.u64();
             ev.instr.instr = c.u32();
             break;
-          case static_cast<std::uint8_t>(FrameEvent::Kind::Bug): {
-            ev.kind = FrameEvent::Kind::Bug;
+          case FrameEvent::Kind::Bug: {
             ev.bug.cycle = c.u64();
             std::uint16_t len = c.u16();
             if (!c.has(len)) {
@@ -149,15 +169,11 @@ bool decode_payload(Cursor& c, Frame& frame, std::string& error) {
             c.pos += len;
             break;
           }
-          default:
-            error = "unknown event kind code " + std::to_string(kind);
-            return false;
         }
         if (c.failed) {
           error = "truncated event record";
           return false;
         }
-        frame.events.push_back(std::move(ev));
       }
       return true;
     }
@@ -249,16 +265,21 @@ FrameDecodeResult decode_frame(std::span<const std::uint8_t> bytes) {
 }
 
 std::uint64_t instr_table_fingerprint(const std::vector<InstrMeta>& table) {
-  std::string buf;
+  // FNV-1a64 over each row's code object, NUL, name, NUL and the cycle
+  // cost as four little-endian bytes, fed row by row with no scratch copy.
+  std::uint64_t h = util::kFnv1a64Basis;
+  const char nul = '\0';
   for (const InstrMeta& meta : table) {
-    buf += meta.code_object;
-    buf += '\0';
-    buf += meta.name;
-    buf += '\0';
+    h = util::fnv1a64(meta.code_object, h);
+    h = util::fnv1a64({&nul, 1}, h);
+    h = util::fnv1a64(meta.name, h);
+    h = util::fnv1a64({&nul, 1}, h);
+    char cycles[4];
     for (int i = 0; i < 4; ++i)
-      buf += static_cast<char>((meta.cycles >> (8 * i)) & 0xff);
+      cycles[i] = static_cast<char>((meta.cycles >> (8 * i)) & 0xff);
+    h = util::fnv1a64({cycles, 4}, h);
   }
-  return util::fnv1a64(buf);
+  return h;
 }
 
 std::vector<std::vector<std::uint8_t>> encode_trace(

@@ -100,6 +100,48 @@ TEST_F(ObsTest, ResetZeroesEverything) {
   EXPECT_EQ(snap.histograms[0].second.min, 3u);
 }
 
+// reset() then add() of the earlier snapshot leaves a registry that covers
+// both workloads: the same snapshot as recording both without a reset.
+TEST_F(ObsTest, AddAfterResetEqualsUninterruptedRecording) {
+  auto first = [](obs::Registry& r) {
+    r.counter("c").inc(5);
+    r.gauge("g").record(9);
+    r.histogram("h").record(5);
+    r.histogram("h").record(700);
+    r.timer("t").record(40);
+    r.histogram("idle");
+  };
+  auto second = [](obs::Registry& r) {
+    r.counter("c").inc(2);
+    r.gauge("g").record(4);
+    r.histogram("h").record(3);
+    r.timer("t").record(90000);
+  };
+  registry_.set_enabled(true);
+  first(registry_);
+  const obs::Snapshot earlier = registry_.snapshot();
+  registry_.reset();
+  second(registry_);
+  registry_.add(earlier);
+
+  obs::Registry uninterrupted;
+  uninterrupted.set_enabled(true);
+  first(uninterrupted);
+  second(uninterrupted);
+  const obs::Snapshot expected = uninterrupted.snapshot();
+  const obs::Snapshot got = registry_.snapshot();
+  EXPECT_TRUE(got.deterministic_equal(expected));
+  EXPECT_EQ(got.to_json(/*include_timers=*/true),
+            expected.to_json(/*include_timers=*/true));
+  EXPECT_EQ(got.counter_value("c"), 7u);
+  EXPECT_EQ(got.gauge_value("g"), 9u);
+  ASSERT_EQ(got.histograms.size(), 2u);  // "h" and the never-recorded "idle"
+  EXPECT_EQ(got.histograms[0].second.count, 3u);
+  EXPECT_EQ(got.histograms[0].second.min, 3u);
+  EXPECT_EQ(got.histograms[0].second.max, 700u);
+  EXPECT_EQ(got.histograms[1].second.count, 0u);
+}
+
 // The core determinism claim: the merged snapshot depends only on the
 // multiset of recorded values, not on which thread recorded what.
 TEST_F(ObsTest, MergeIsThreadCountInvariant) {

@@ -37,6 +37,21 @@ TEST(Assert, MessageIncludesExpressionAndText) {
   }
 }
 
+// A precondition raised inside a library names its file relative to the
+// checkout (src/...), so messages carried into stats JSON and journals are
+// the same in every checkout.
+TEST(Assert, LibraryMessageNamesSourceRelativePath) {
+  Rng rng(1);
+  try {
+    rng.below(0);
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/util/rng.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(SENT_PROJECT_SOURCE_DIR), std::string::npos) << what;
+  }
+}
+
 // ------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed) {
